@@ -1,10 +1,10 @@
 (* Benchmark harness regenerating the paper's quantitative claims.
    Run with no argument for the full E1-E8 table set, with an experiment
    id ("e1" .. "e8") for one table, with "micro" for the Bechamel
-   micro-benchmarks (one Test.make per experiment family), or with
-   "runtime" [--smoke] for the memory-layout sweep (padded+CSR vs
-   unpadded+nested; writes BENCH_runtime.json).
-   See EXPERIMENTS.md for the experiment index. *)
+   micro-benchmarks (one Test.make per experiment family), or with a
+   suite name ("runtime", "service", "serve", "fabric", "sketch",
+   "hybrid") [--smoke] for a measured sweep that writes its section of
+   BENCH_runtime.json.  See EXPERIMENTS.md for the experiment index. *)
 
 module T = Cn_network.Topology
 module E = Cn_network.Eval
@@ -14,6 +14,96 @@ module Bounds = Cn_analysis.Bounds
 
 let header title = Printf.printf "\n=== %s ===\n" title
 let line fmt = Printf.printf (fmt ^^ "\n")
+
+(* Measured, not assumed: timed rows with more domains than this
+   timeshare cores. *)
+let host_note what =
+  line "(host note: %d recommended domains; %s)" (Domain.recommended_domain_count ()) what
+
+let relative_shapes = "runs with more domains timeshare cores; relative shapes only"
+
+(* ------------------------------------------------------------------ *)
+(* BENCH_runtime.json is one object with a section per suite.  Each
+   suite replaces its own section by key, leaving the others (and their
+   order) alone, so suites can run in any order and re-runs never
+   duplicate a key. *)
+
+let bench_json = "BENCH_runtime.json"
+
+(* The top-level [(key, raw value)] pairs of a JSON object: just enough
+   scanning (strings, escapes, nesting) to split the file into
+   sections without interpreting them. *)
+let json_sections text =
+  let n = String.length text in
+  let bad () = failwith (bench_json ^ ": not a JSON object; remove it to start afresh") in
+  let rec skip_ws i = if i < n && String.contains " \t\r\n" text.[i] then skip_ws (i + 1) else i in
+  let rec string_end i =
+    if i >= n then bad ()
+    else match text.[i] with '\\' -> string_end (i + 2) | '"' -> i + 1 | _ -> string_end (i + 1)
+  in
+  let rec value_end i depth =
+    if i >= n then bad ()
+    else
+      match text.[i] with
+      | '"' -> value_end (string_end (i + 1)) depth
+      | '{' | '[' -> value_end (i + 1) (depth + 1)
+      | ('}' | ']') when depth = 0 -> i
+      | '}' | ']' -> value_end (i + 1) (depth - 1)
+      | ',' when depth = 0 -> i
+      | _ -> value_end (i + 1) depth
+  in
+  let rec members i acc =
+    let i = skip_ws i in
+    if i < n && text.[i] = '}' then List.rev acc
+    else begin
+      if i >= n || text.[i] <> '"' then bad ();
+      let k_end = string_end (i + 1) in
+      let key = String.sub text (i + 1) (k_end - i - 2) in
+      let v_start = skip_ws k_end in
+      if v_start >= n || text.[v_start] <> ':' then bad ();
+      let v_start = skip_ws (v_start + 1) in
+      let v_end = value_end v_start 0 in
+      let acc = (key, String.trim (String.sub text v_start (v_end - v_start))) :: acc in
+      if text.[v_end] = ',' then members (v_end + 1) acc else members v_end acc
+    end
+  in
+  let i = skip_ws 0 in
+  if i >= n || text.[i] <> '{' then bad ();
+  members (i + 1) []
+
+let write_section key value =
+  let existing =
+    if Sys.file_exists bench_json then
+      json_sections (In_channel.with_open_bin bench_json In_channel.input_all)
+    else []
+  in
+  (* First occurrence replaced in place, any later copy dropped. *)
+  let replaced = ref false in
+  let kept =
+    List.filter_map
+      (fun (k, v) ->
+        if k <> key then Some (k, v)
+        else if !replaced then None
+        else begin
+          replaced := true;
+          Some (k, value)
+        end)
+      existing
+  in
+  let sections = if !replaced then kept else kept @ [ (key, value) ] in
+  Out_channel.with_open_bin bench_json (fun oc ->
+      output_string oc "{\n";
+      output_string oc
+        (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  %S: %s" k v) sections));
+      output_string oc "\n}\n");
+  line "wrote the %S section of %s" key bench_json
+
+(* Every top-level key of BENCH_runtime.json, one per line, in file
+   order — a duplicated section shows up twice. *)
+let sections () =
+  List.iter
+    (fun (k, _) -> print_endline k)
+    (json_sections (In_channel.with_open_bin bench_json In_channel.input_all))
 
 (* ------------------------------------------------------------------ *)
 (* E1: Theorem 4.1 — depth of C(w, t) is (lg2 w + lg w)/2, independent
@@ -139,7 +229,7 @@ let e4 () =
 
 let e5 () =
   header "E5  multicore throughput: counter ops/s vs domains (experiments of [19,20])";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  host_note relative_shapes;
   let w = 8 in
   let ops = 20_000 in
   let counters =
@@ -513,47 +603,36 @@ let projected_json ?(smoke = false) ~w net =
     (match crossover with Some n -> string_of_int n | None -> "null")
 
 (* ------------------------------------------------------------------ *)
-(* runtime: the memory-layout sweep.  Compares the padded+CSR layout
-   against the seed unpadded+nested layout (and the central-FAA / lock
-   baselines) across 1-8 domains, reusing one warmed domain pool for
-   every cell, and emits machine-readable BENCH_runtime.json.           *)
+(* runtime: the runtime sweep.  C(16,16) and bitonic-16 against the
+   central-FAA / lock baselines across 1-8 domains, plus the batched
+   and pipelined walks, reusing one warmed domain pool for every cell;
+   writes the "runtime" section of BENCH_runtime.json.                  *)
 
 let runtime ?(smoke = false) ?(projected = false) () =
-  header "runtime  memory-layout sweep: padded+CSR vs unpadded+nested (writes BENCH_runtime.json)";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  header "runtime  counter sweep: C(16,16), bitonic, central FAA, lock (writes BENCH_runtime.json)";
+  host_note relative_shapes;
   let w = 16 in
   let ops_total = if smoke then 4_000 else 64_000 in
   let repeats = if smoke then 1 else 3 in
   let c16 = C.network ~w ~t:w in
   let bitonic16 = Cn_baselines.Bitonic.network w in
   let module RT = Cn_runtime.Network_runtime in
-  let layouts = [ ("padded-csr", RT.Padded_csr); ("unpadded-nested", RT.Unpadded_nested) ] in
-  let net_configs =
-    List.concat_map
-      (fun (net_name, net) ->
-        List.map
-          (fun (layout_name, layout) ->
-            ( net_name,
-              layout_name,
-              fun () -> Cn_runtime.Shared_counter.of_topology ~layout net ))
-          layouts)
-      [ (Printf.sprintf "C(%d,%d)" w w, c16); (Printf.sprintf "bitonic-%d" w, bitonic16) ]
-  in
   let configs =
-    net_configs
-    @ [
-        ("central-faa", "-", fun () -> Cn_runtime.Shared_counter.central_faa ());
-        ("lock", "-", fun () -> Cn_runtime.Shared_counter.with_lock ());
-      ]
+    [
+      (Printf.sprintf "C(%d,%d)" w w, fun () -> Cn_runtime.Shared_counter.of_topology c16);
+      (Printf.sprintf "bitonic-%d" w, fun () -> Cn_runtime.Shared_counter.of_topology bitonic16);
+      ("central-faa", fun () -> Cn_runtime.Shared_counter.central_faa ());
+      ("lock", fun () -> Cn_runtime.Shared_counter.with_lock ());
+    ]
   in
   let domain_counts = [ 1; 2; 4; 8 ] in
   let results = ref [] in
   Cn_runtime.Domain_pool.with_pool 8 (fun pool ->
-      line "%-12s %-16s %s" "counter" "layout"
+      line "%-14s %s" "counter"
         (String.concat " "
            (List.map (fun d -> Printf.sprintf "%11s" (Printf.sprintf "%dd ops/s" d)) domain_counts));
       List.iter
-        (fun (name, layout_name, make) ->
+        (fun (name, make) ->
           let row =
             List.map
               (fun domains ->
@@ -571,15 +650,14 @@ let runtime ?(smoke = false) ?(projected = false) () =
                     seconds := r.Cn_runtime.Harness.seconds
                   end
                 done;
-                results :=
-                  (name, layout_name, domains, ops_total, !seconds, !best) :: !results;
+                results := (name, domains, ops_total, !seconds, !best) :: !results;
                 Printf.sprintf "%11.0f" !best)
               domain_counts
           in
-          line "%-12s %-16s %s" name layout_name (String.concat " " row))
+          line "%-14s %s" name (String.concat " " row))
         configs;
-      (* The batched traversal API on the padded layout: bounds check and
-         dispatch amortized across each domain's whole quota. *)
+      (* The batched traversal API: bounds check and dispatch amortized
+         across each domain's whole quota. *)
       let rt = RT.compile c16 in
       let batch_row =
         List.map
@@ -598,19 +676,11 @@ let runtime ?(smoke = false) ?(projected = false) () =
                 seconds := s
               end
             done;
-            results :=
-              ( Printf.sprintf "C(%d,%d)+batch" w w,
-                "padded-csr",
-                domains,
-                ops_total,
-                !seconds,
-                !best )
-              :: !results;
+            results := (Printf.sprintf "C(%d,%d)+batch" w w, domains, ops_total, !seconds, !best) :: !results;
             Printf.sprintf "%11.0f" !best)
           domain_counts
       in
-      line "%-12s %-16s %s" (Printf.sprintf "C(%d,%d)+batch" w w) "padded-csr"
-        (String.concat " " batch_row);
+      line "%-14s %s" (Printf.sprintf "C(%d,%d)+batch" w w) (String.concat " " batch_row);
       (* The layer-pipelined batch walk: a wavefront of tokens advances
          one crossing per round, overlapping independent crossings.
          Buffers are per-domain — they are single-owner scratch. *)
@@ -633,19 +703,11 @@ let runtime ?(smoke = false) ?(projected = false) () =
                 seconds := s
               end
             done;
-            results :=
-              ( Printf.sprintf "C(%d,%d)+pipe" w w,
-                "padded-csr",
-                domains,
-                ops_total,
-                !seconds,
-                !best )
-              :: !results;
+            results := (Printf.sprintf "C(%d,%d)+pipe" w w, domains, ops_total, !seconds, !best) :: !results;
             Printf.sprintf "%11.0f" !best)
           domain_counts
       in
-      line "%-12s %-16s %s" (Printf.sprintf "C(%d,%d)+pipe" w w) "padded-csr"
-        (String.concat " " pipe_row));
+      line "%-14s %s" (Printf.sprintf "C(%d,%d)+pipe" w w) (String.concat " " pipe_row));
   (* Observability pass: one metrics-instrumented CAS run on C(16,16)
      at 4 domains.  The validator runs Strict — any lost update or
      broken step property fails the whole sweep — and the per-layer
@@ -677,27 +739,22 @@ let runtime ?(smoke = false) ?(projected = false) () =
     Cn_runtime.Metrics.to_json ~layers snap
   in
   let projected_section = if projected then Some (projected_json ~smoke ~w c16) else None in
-  let oc = open_out "BENCH_runtime.json" in
   let entries =
     List.rev_map
-      (fun (name, layout_name, domains, total_ops, seconds, rate) ->
+      (fun (name, domains, total_ops, seconds, rate) ->
         Printf.sprintf
-          "    { \"counter\": %S, \"layout\": %S, \"domains\": %d, \"total_ops\": %d, \
-           \"seconds\": %.6f, \"ops_per_sec\": %.1f }"
-          name layout_name domains total_ops seconds rate)
+          "      { \"counter\": %S, \"domains\": %d, \"total_ops\": %d, \"seconds\": %.6f, \
+           \"ops_per_sec\": %.1f }"
+          name domains total_ops seconds rate)
       !results
   in
-  Printf.fprintf oc
-    "{\n  \"suite\": \"runtime\",\n  \"w\": %d,\n  \"results\": [\n%s\n  ],\n%s  \"metrics\": %s}\n"
-    w
-    (String.concat ",\n" entries)
-    (match projected_section with
-    | Some p -> Printf.sprintf "  \"projected\": %s,\n" p
-    | None -> "")
-    metrics_json;
-  close_out oc;
-  line "wrote BENCH_runtime.json (%d measurements%s + metrics profile)" (List.length !results)
-    (if projected then " + projected curves" else "")
+  write_section "runtime"
+    (Printf.sprintf "{\n    \"w\": %d,\n    \"results\": [\n%s\n    ],\n%s    \"metrics\": %s  }" w
+       (String.concat ",\n" entries)
+       (match projected_section with
+       | Some p -> Printf.sprintf "    \"projected\": %s,\n" p
+       | None -> "")
+       (String.trim metrics_json))
 
 (* ------------------------------------------------------------------ *)
 (* service: the Cn_service combining front-end against naive per-op
@@ -706,11 +763,11 @@ let runtime ?(smoke = false) ?(projected = false) () =
    round so the elected combiner serves them as one batch — the
    batching the per-op caller cannot express — and the mixed rows let
    elimination pair tokens with antitokens before they reach the
-   network.  Appends a "service" section to BENCH_runtime.json.         *)
+   network.  Writes the "service" section of BENCH_runtime.json.          *)
 
 let service ?(smoke = false) ?(projected = false) () =
-  header "service  combining front-end vs naive per-op traverse (appends to BENCH_runtime.json)";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  header "service  combining front-end vs naive per-op traverse (writes its section of BENCH_runtime.json)";
+  host_note relative_shapes;
   let module RT = Cn_runtime.Network_runtime in
   let module DP = Cn_runtime.Domain_pool in
   let module V = Cn_runtime.Validator in
@@ -912,26 +969,8 @@ let service ?(smoke = false) ?(projected = false) () =
       (String.concat ",\n" entries)
       speedup_mixed speedup_inc (String.trim !report_json) projected_field
   in
-  let path = "BENCH_runtime.json" in
-  let fresh () =
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"suite\": \"service\",\n  \"service\": %s\n}\n" section;
-    close_out oc
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match String.rindex_opt content '}' with
-    | Some i ->
-        let oc = open_out path in
-        output_string oc (String.sub content 0 i);
-        Printf.fprintf oc ",\n  \"service\": %s\n}\n" section;
-        close_out oc
-    | None -> fresh ()
-  end
-  else fresh ();
-  line "appended service section to BENCH_runtime.json (%d rows)" (List.length !rows)
+  write_section "service" section;
+  line "service section: %d rows" (List.length !rows)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the countnetd wire protocol on loopback — an in-process
@@ -940,11 +979,11 @@ let service ?(smoke = false) ?(projected = false) () =
    arrivals, a mixed inc/dec run) and carries SLO-style round-trip
    latency percentiles (p50/p95/p99, ns).  A churn phase and a
    mid-load Strict stop exercise the lifecycle edges; the section is
-   appended to BENCH_runtime.json.                                      *)
+   written to BENCH_runtime.json.                                       *)
 
 let serve ?(smoke = false) () =
-  header "serve  countnetd loopback: wire-protocol SLO latencies (appends to BENCH_runtime.json)";
-  line "(host note: loopback TCP on a single core; rtt includes both protocol stacks)";
+  header "serve  countnetd loopback: wire-protocol SLO latencies (writes its section of BENCH_runtime.json)";
+  host_note "loopback TCP, so rtt includes both protocol stacks";
   let module V = Cn_runtime.Validator in
   let module M = Cn_runtime.Metrics in
   let module Svc = Cn_service.Service in
@@ -1058,26 +1097,8 @@ let serve ?(smoke = false) () =
       (String.concat ",\n" entries)
       churn accepted_after_churn drain_ok (V.summary report) rig_done rig_disc rig_closed
   in
-  let path = "BENCH_runtime.json" in
-  let fresh () =
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"suite\": \"serve\",\n  \"serve\": %s\n}\n" section;
-    close_out oc
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match String.rindex_opt content '}' with
-    | Some i ->
-        let oc = open_out path in
-        output_string oc (String.sub content 0 i);
-        Printf.fprintf oc ",\n  \"serve\": %s\n}\n" section;
-        close_out oc
-    | None -> fresh ()
-  end
-  else fresh ();
-  line "appended serve section to BENCH_runtime.json (%d SLO rows)" (List.length !rows)
+  write_section "serve" section;
+  line "serve section: %d SLO rows" (List.length !rows)
 
 (* ------------------------------------------------------------------ *)
 (* fabric: the elastic sharded counter fabric — shard-scaling sweep at
@@ -1088,11 +1109,11 @@ let serve ?(smoke = false) () =
    conservation asserted at the Strict drain.  The projected rows come
    from the Theorem 6.7 contention model and show the analytic shard
    scaling even when this host timeshares domains on one core.
-   Appends a "fabric" section to BENCH_runtime.json.                    *)
+   Writes the "fabric" section of BENCH_runtime.json.                   *)
 
 let fabric ?(smoke = false) () =
-  header "fabric  sharded counter fabric: shard scaling + hot resize (appends to BENCH_runtime.json)";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  header "fabric  sharded counter fabric: shard scaling + hot resize (writes its section of BENCH_runtime.json)";
+  host_note relative_shapes;
   let module DP = Cn_runtime.Domain_pool in
   let module V = Cn_runtime.Validator in
   let module Fab = Cn_fabric.Fabric in
@@ -1281,26 +1302,8 @@ let fabric ?(smoke = false) () =
       (String.concat ",\n" projected_entries)
       measured_4v1 projected_4v1
   in
-  let path = "BENCH_runtime.json" in
-  let fresh () =
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"suite\": \"fabric\",\n  \"fabric\": %s\n}\n" section;
-    close_out oc
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match String.rindex_opt content '}' with
-    | Some i ->
-        let oc = open_out path in
-        output_string oc (String.sub content 0 i);
-        Printf.fprintf oc ",\n  \"fabric\": %s\n}\n" section;
-        close_out oc
-    | None -> fresh ()
-  end
-  else fresh ();
-  line "appended fabric section to BENCH_runtime.json (%d rows)" (List.length !rows)
+  write_section "fabric" section;
+  line "fabric section: %d rows" (List.length !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Approximate counting tier: the accuracy / throughput / memory
@@ -1318,11 +1321,11 @@ let fabric ?(smoke = false) () =
      plus the sparse decode regimes (exact below the peeling
      threshold, bounded-error above).
 
-   Appends a "sketch" section to BENCH_runtime.json.                    *)
+   Writes the "sketch" section of BENCH_runtime.json.                   *)
 
 let sketch ?(smoke = false) () =
-  header "sketch  approximate tier: accuracy/throughput/memory frontier (appends to BENCH_runtime.json)";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  header "sketch  approximate tier: accuracy/throughput/memory frontier (writes its section of BENCH_runtime.json)";
+  host_note relative_shapes;
   let module Hll = Cn_sketch.Hll in
   let module Sparse = Cn_sketch.Sparse in
   let module Backend = Cn_sketch.Backend in
@@ -1438,26 +1441,8 @@ let sketch ?(smoke = false) () =
       (String.concat ",\n" tp_entries)
       n_keys exact_bytes sparse_bytes ratio over_err
   in
-  let path = "BENCH_runtime.json" in
-  let fresh () =
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"suite\": \"sketch\",\n  \"sketch\": %s\n}\n" section;
-    close_out oc
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match String.rindex_opt content '}' with
-    | Some i ->
-        let oc = open_out path in
-        output_string oc (String.sub content 0 i);
-        Printf.fprintf oc ",\n  \"sketch\": %s\n}\n" section;
-        close_out oc
-    | None -> fresh ()
-  end
-  else fresh ();
-  line "appended sketch section to BENCH_runtime.json (%d hll rows, %d throughput rows)"
+  write_section "sketch" section;
+  line "sketch section: %d hll rows, %d throughput rows"
     (List.length hll_rows) (List.length tp_rows)
 
 (* ------------------------------------------------------------------ *)
@@ -1469,8 +1454,8 @@ let sketch ?(smoke = false) () =
    benchmarking a broken network as if it counted).                     *)
 
 let hybrid ?(smoke = false) () =
-  header "hybrid  merger strategies at C(16,16): depth/size/throughput (appends to BENCH_runtime.json)";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  header "hybrid  merger strategies at C(16,16): depth/size/throughput (writes its section of BENCH_runtime.json)";
+  host_note relative_shapes;
   let module M = Cn_core.Merger in
   let module H = Cn_runtime.Harness in
   let w = 16 in
@@ -1530,26 +1515,8 @@ let hybrid ?(smoke = false) () =
       w w domains ops (List.length battery)
       (String.concat ",\n" entries)
   in
-  let path = "BENCH_runtime.json" in
-  let fresh () =
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"suite\": \"hybrid\",\n  \"hybrid\": %s\n}\n" section;
-    close_out oc
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match String.rindex_opt content '}' with
-    | Some i ->
-        let oc = open_out path in
-        output_string oc (String.sub content 0 i);
-        Printf.fprintf oc ",\n  \"hybrid\": %s\n}\n" section;
-        close_out oc
-    | None -> fresh ()
-  end
-  else fresh ();
-  line "appended hybrid section to BENCH_runtime.json (%d merger rows, %d battery loads)"
+  write_section "hybrid" section;
+  line "hybrid section: %d merger rows, %d battery loads"
     (List.length rows) (List.length battery)
 
 (* ------------------------------------------------------------------ *)
@@ -1672,6 +1639,7 @@ let () =
   | [| _; "e13" |] -> e13 ()
   | [| _; "e14" |] -> e14 ()
   | [| _; "micro" |] -> micro ()
+  | [| _; "sections" |] -> sections ()
   | [| _; "runtime" |] -> runtime ()
   | [| _; "runtime"; "--smoke" |] -> runtime ~smoke:true ()
   | [| _; "runtime"; "--projected" |] -> runtime ~projected:true ()
@@ -1692,6 +1660,6 @@ let () =
   | [| _; "hybrid"; "--smoke" |] -> hybrid ~smoke:true ()
   | _ ->
       prerr_endline
-        "usage: main.exe [e1|...|e14|micro|runtime [--smoke] [--projected]|service [--smoke] \
+        "usage: main.exe [e1|...|e14|micro|sections|runtime [--smoke] [--projected]|service [--smoke] \
          [--projected]|serve [--smoke]|fabric [--smoke]|sketch [--smoke]|hybrid [--smoke]]";
       exit 2

@@ -4,13 +4,13 @@ module Counting = Cn_core.Counting
 module Svc = Scenarios.Svc
 
 (* The production fabric protocol body over instrumented atomics and the
-   instrumented model service: what the explorer exercises for the
+   instrumented service: what the explorer exercises for the
    hot-resize / elastic-rescale paths. *)
 module MS = struct
   include Svc
 
   let net_count svc =
-    Sequence.sum (Model_net.exit_distribution (Svc.runtime svc))
+    Sequence.sum (Scenarios.Rt.exit_distribution (Svc.runtime svc))
 end
 
 module Fab = Cn_fabric.Fabric_core.Make (Instrumented) (MS)
@@ -23,7 +23,7 @@ let op_outcome = function
   | Error Fab.Closed -> Refused
 
 type run = {
-  rts : Model_net.t list ref; (* every model network spawned, any shard/gen *)
+  rts : Scenarios.Rt.t list ref; (* every network spawned, any shard/gen *)
   fab : Fab.t;
   results : (Fab.op * outcome) list ref;
   resizes : (unit, Fab.resize_error) result list ref;
@@ -80,7 +80,7 @@ let make_run ?(distinct_incs = false) ?(allow_busy = false) ~shards () =
   let rts = ref [] in
   let topo = Counting.network ~w:2 ~t:2 in
   let spawn t =
-    let rt = Model_net.compile t in
+    let rt = Scenarios.Rt.compile t in
     rts := rt :: !rts;
     Svc.make ~max_batch:4 ~queue:2 ~validate:V.Off rt
   in
@@ -109,12 +109,12 @@ let check run () =
   let bad_validation =
     List.exists
       (fun rt ->
-        List.exists (fun (_, passed) -> not passed) (Model_net.validations rt))
+        List.exists (fun (_, passed) -> not passed) (Scenarios.Rt.validations rt))
       !(run.rts)
   in
   let bad_step =
     List.find_opt
-      (fun rt -> not (Sequence.is_step (Model_net.exit_distribution rt)))
+      (fun rt -> not (Sequence.is_step (Scenarios.Rt.exit_distribution rt)))
       !(run.rts)
   in
   let failed_resize =
@@ -133,7 +133,7 @@ let check run () =
     match bad_step with
     | Some rt ->
         fail "a shard's final distribution is not a step: %s"
-          (Sequence.to_string (Model_net.exit_distribution rt))
+          (Sequence.to_string (Scenarios.Rt.exit_distribution rt))
     | None -> (
         match failed_resize with
         | Some e -> fail "resize failed: %s" (resize_error_string e)

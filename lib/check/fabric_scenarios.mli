@@ -1,14 +1,14 @@
 (** Fabric resize scenarios: the {e real} shard-fabric protocol
     ({!Cn_fabric.Fabric_core.Make} — the same functor body production
     runs) instantiated with {!Instrumented} atomics over the checker's
-    model service ({!Scenarios.Svc} plus a [net_count] one-liner),
+    instrumented service ({!Scenarios.Svc} plus a [net_count] one-liner),
     driven over miniature C(2,2) shards.
 
     Every scenario's oracle checks, on the final state:
 
     - {b closed is terminal}: once a fabric [shutdown] has returned,
       [closed] holds;
-    - {b validations are quiescent}: every validation any spawned model
+    - {b validations are quiescent}: every validation any spawned
       network recorded — including those run by the hot-resize drain —
       passed;
     - {b step property} on every spawned network's final distribution

@@ -1,7 +1,9 @@
 (** The checked scenarios: the {e real} service protocol
     ({!Cn_service.Service_core.Make} — the same functor body production
-    runs) instantiated with {!Instrumented} atomics over a {!Model_net},
-    driven by 2–4 model domains through tiny C(2,2) / C(4,4) networks.
+    runs) over the {e real} network runtime
+    ({!Cn_runtime.Network_runtime.Make}), both instantiated with
+    {!Instrumented} atomics, driven by 2–4 model domains through tiny
+    C(2,2) / C(4,4) networks.
 
     Every scenario's oracle checks, on the final state:
 
@@ -20,10 +22,35 @@
       completes — a cell parked forever or an [await] that never
       returns shows up as a deadlock.
 
-    The module {!Svc} is exposed so tests can build bespoke scenarios
+    The modules below are exposed so tests can build bespoke scenarios
     against the instrumented instantiation. *)
 
-module Svc : Cn_service.Service_core.S with type rt = Model_net.t
+module Net : Cn_runtime.Network_runtime.S
+(** The shipped runtime over {!Instrumented} atomics.  Outside an engine
+    execution its atoms are plain cells, so it also runs as an ordinary
+    sequential runtime. *)
+
+(** {!Net} plus what the oracles read: the tokens and antitokens counted
+    when a traversal {e starts}, and the log of quiescent validations. *)
+module Rt : sig
+  include Cn_service.Service_core.RUNTIME with type buffer = Cn_runtime.Network_runtime.buffer
+
+  val compile : ?mode:Cn_runtime.Network_runtime.mode -> Cn_network.Topology.t -> t
+  val net : t -> Net.t
+
+  val exit_distribution : t -> int array
+  (** Tokens handed out per output wire.  Reads are silent outside an
+      engine execution, so oracles can call this on the final state. *)
+
+  val validations : t -> (int array * bool) list
+  (** Every {!quiescent} call, oldest first: the distribution it
+      observed and whether its step-property and conservation checks
+      passed. *)
+
+  val last_validation : t -> (int array * bool) option
+end
+
+module Svc : Cn_service.Service_core.S with type rt = Rt.t
 
 val drain_vs_shutdown : unit -> Engine.scenario
 (** One worker incrementing while a [drain] and a [shutdown] race on a
@@ -45,6 +72,19 @@ val submit_await_shutdown : unit -> Engine.scenario
 val c44_shutdown : unit -> Engine.scenario
 (** Three workers on distinct wires of a C(4,4) network racing a
     [shutdown] — wider network, checks the oracles beyond one lane. *)
+
+val cas_drain : ?observe:(Rt.t -> unit) -> unit -> Engine.scenario
+(** Two incrementers on the two wires of a C(2,2) service compiled in
+    [Cas] mode, racing a [drain]: both tokens contend for the one
+    balancer, so the explorer drives the runtime's CAS retry loop.
+    [observe] sees the runtime before the oracle runs. *)
+
+val pipelined_drain : unit -> Engine.scenario
+(** One model domain submitting two increments (two sessions, then two
+    awaits) and one decrementing, all on one lane of a [~pipeline:true]
+    service with elimination off, racing a [drain]: combined runs walk
+    the pipelined wavefront, two tokens abreast when a combiner takes
+    both increments. *)
 
 val all : (string * (unit -> Engine.scenario)) list
 (** Every scenario above, keyed by name, in a stable order. *)

@@ -35,7 +35,6 @@ include
 
 val create :
   ?mode:Cn_runtime.Network_runtime.mode ->
-  ?layout:Cn_runtime.Network_runtime.layout ->
   ?metrics:bool ->
   ?max_batch:int ->
   ?queue:int ->
@@ -50,7 +49,7 @@ val create :
   t
 (** [create ~shards net] certifies [net], then builds [shards]
     identical service shards over it.  The service knobs ([?mode],
-    [?layout], [?metrics], [?max_batch], [?queue], [?elim],
+    [?metrics], [?max_batch], [?queue], [?elim],
     [?pipeline], [?validate]) pass through to
     {!Cn_service.Service.create} for every spawned shard — including
     the ones hot-resize swaps in later.  [?exhaustive_budget] (default

@@ -29,7 +29,8 @@ module V := Cn_runtime.Validator
     token count that becomes the [base] offset at a resize.
     {!Cn_service.Service} matches this signature once extended with
     [net_count] (see {!Fabric}); the checker's model service is
-    [Service_core.Make (Instrumented) (Model_net)] plus the same
+    [Service_core.Make (Instrumented)] over the instrumented runtime
+    plus the same
     one-liner. *)
 module type SERVICE = sig
   type t

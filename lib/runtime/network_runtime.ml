@@ -2,7 +2,6 @@ module Topology = Cn_network.Topology
 module Balancer = Cn_network.Balancer
 
 type mode = Faa | Cas
-type layout = Padded_csr | Unpadded_nested
 
 (* Destinations are encoded as ints: a non-negative value is a balancer
    id; a negative value [-(wire + 1)] is a network output wire. *)
@@ -24,298 +23,7 @@ let[@inline] port_of_strategy s strat =
     let q = -strat in
     (s mod q + q) mod q
 
-type t = {
-  mode : mode;
-  layout : layout;
-  input_width : int;
-  output_width : int;
-  states : Padded_atomic.t; (* per balancer: monotone transition count *)
-  init_states : int array;
-  offsets : int array; (* CSR row starts; length n+1, so row b spans
-                          [offsets.(b), offsets.(b+1)) and its width is
-                          balancer b's fan-out *)
-  next : int array; (* CSR: encoded destination of port p of balancer b
-                       at [offsets.(b) + p] *)
-  next_nested : int array array; (* seed layout: per balancer, per port *)
-  fan_out : int array;
-  route : int array; (* stride-2 routing table: [route.(2b)] is balancer
-                        b's CSR row base (= offsets.(b)), [route.(2b+1)]
-                        its port strategy — one adjacent pair per
-                        crossing instead of two [offsets] reads plus a
-                        power-of-two test *)
-  strategy : int array; (* per balancer: the same strategy, for the
-                           nested walk's fast path *)
-  entry : int array; (* per input wire: encoded destination *)
-  values : Padded_atomic.t; (* per output wire: next value to hand out *)
-  failures : Padded_atomic.t; (* single slot, always padded *)
-  metrics : Metrics.t option;
-}
-
-let compile ?(mode = Faa) ?(layout = Padded_csr) ?(metrics = false) net =
-  let n = Topology.size net in
-  let t = Topology.output_width net in
-  (* One topology query per balancer; every per-balancer field below is
-     derived from this pass.  All routing — including the Lemma 5.3
-     bit-reversal wiring of the butterfly blocks, which the topology
-     layer computes arithmetically — is baked into the [next]/[route]
-     images here, so no walk loop ever re-derives a wire. *)
-  let descriptors = Array.init n (Topology.balancer net) in
-  let init_states = Array.map (fun d -> d.Balancer.init_state) descriptors in
-  let fan_out = Array.map (fun d -> d.Balancer.fan_out) descriptors in
-  let offsets = Array.make (n + 1) 0 in
-  for b = 0 to n - 1 do
-    offsets.(b + 1) <- offsets.(b) + fan_out.(b)
-  done;
-  let next_nested =
-    Array.init n (fun b ->
-        Array.init fan_out.(b) (fun port ->
-            encode_dest (Topology.consumer net (Topology.Bal_output { bal = b; port }))))
-  in
-  let next = Array.make offsets.(n) 0 in
-  Array.iteri (fun b row -> Array.blit row 0 next offsets.(b) (Array.length row)) next_nested;
-  let strategy = Array.map strategy_of fan_out in
-  let route = Array.make (2 * n) 0 in
-  for b = 0 to n - 1 do
-    route.(2 * b) <- offsets.(b);
-    route.((2 * b) + 1) <- strategy.(b)
-  done;
-  let padded = layout = Padded_csr in
-  {
-    mode;
-    layout;
-    input_width = Topology.input_width net;
-    output_width = t;
-    states = Padded_atomic.make ~padded n ~init:(Array.get init_states);
-    init_states;
-    offsets;
-    next;
-    next_nested;
-    fan_out;
-    route;
-    strategy;
-    entry =
-      Array.init (Topology.input_width net) (fun i ->
-          encode_dest (Topology.consumer net (Topology.Net_input i)));
-    values = Padded_atomic.make ~padded t ~init:Fun.id;
-    failures = Padded_atomic.make 1 ~init:(fun _ -> 0);
-    metrics = (if metrics then Some (Metrics.create ~balancers:n ~wires:t ()) else None);
-  }
-
-let mode rt = rt.mode
-let layout rt = rt.layout
-let input_width rt = rt.input_width
-let output_width rt = rt.output_width
-let metrics rt = rt.metrics
-
-(* Balancer crossings.  Every crossing function is a top-level value of
-   one shared shape [t -> Metrics.sink -> int -> int]: the bare versions
-   ignore the sink (callers pass [Metrics.null]), the metered versions
-   record into it.  Sharing the shape means the walk loops take the
-   crossing as an ordinary function argument and the dispatch [match]es
-   below return statically allocated closures — the traverse paths
-   allocate nothing, metered or not.
-
-   The CAS loop backs off exponentially (doubling [cpu_relax] bursts,
-   bounded) instead of hammering the contended line, and a crossing that
-   lost at least one CAS counts as ONE stall however many retries it
-   took: stalls witness contended crossings, not retry storms amplified
-   by the lack of backoff. *)
-
-let max_backoff = 64
-
-let cross_faa rt _sk b = Padded_atomic.fetch_and_add rt.states b 1
-let cross_dec_faa rt _sk b = Padded_atomic.fetch_and_add rt.states b (-1) - 1
-
-let rec cas_retry rt b step bias spins contended =
-  let s = Padded_atomic.get rt.states b in
-  if Padded_atomic.compare_and_set rt.states b s (s + step) then begin
-    if contended then Padded_atomic.incr rt.failures 0;
-    s + bias
-  end
-  else begin
-    for _ = 1 to spins do
-      Domain.cpu_relax ()
-    done;
-    cas_retry rt b step bias (if spins >= max_backoff then max_backoff else spins * 2) true
-  end
-
-let cross_cas rt _sk b = cas_retry rt b 1 0 1 false
-let cross_dec_cas rt _sk b = cas_retry rt b (-1) (-1) 1 false
-
-(* Metered crossings: same transitions, plus per-balancer crossing and
-   stall recording into the calling domain's metrics sink. *)
-
-let metered_faa rt sk b =
-  Metrics.crossing sk b;
-  Padded_atomic.fetch_and_add rt.states b 1
-
-let metered_dec_faa rt sk b =
-  Metrics.crossing sk b;
-  Padded_atomic.fetch_and_add rt.states b (-1) - 1
-
-let rec metered_cas_retry rt sk b step bias spins contended =
-  let s = Padded_atomic.get rt.states b in
-  if Padded_atomic.compare_and_set rt.states b s (s + step) then begin
-    if contended then begin
-      Padded_atomic.incr rt.failures 0;
-      Metrics.stall sk b
-    end;
-    s + bias
-  end
-  else begin
-    for _ = 1 to spins do
-      Domain.cpu_relax ()
-    done;
-    metered_cas_retry rt sk b step bias
-      (if spins >= max_backoff then max_backoff else spins * 2)
-      true
-  end
-
-let metered_cas rt sk b =
-  Metrics.crossing sk b;
-  metered_cas_retry rt sk b 1 0 1 false
-
-let metered_dec_cas rt sk b =
-  Metrics.crossing sk b;
-  metered_cas_retry rt sk b (-1) (-1) 1 false
-
-(* Dispatch: each arm is a statically allocated top-level function, so
-   selecting one allocates nothing. *)
-let cross_fn mode ~anti =
-  match (mode, anti) with
-  | Faa, false -> cross_faa
-  | Faa, true -> cross_dec_faa
-  | Cas, false -> cross_cas
-  | Cas, true -> cross_dec_cas
-
-let metered_fn mode ~anti =
-  match (mode, anti) with
-  | Faa, false -> metered_faa
-  | Faa, true -> metered_dec_faa
-  | Cas, false -> metered_cas
-  | Cas, true -> metered_dec_cas
-
-(* Walk loops, specialized per wiring layout.  In the CSR walk a token
-   crossing is one adjacent [route] pair read, one read of [next], and
-   the atomic transition — no nested array to chase, no per-crossing
-   power-of-two test.  The unsafe reads are sound: [Topology.create]
-   validated the wiring, so every encoded destination and every
-   [route]/[next] index is in range. *)
-
-let rec walk_csr rt sk cross dest =
-  if dest >= 0 then begin
-    let s = cross rt sk dest in
-    let base = Array.unsafe_get rt.route (2 * dest) in
-    let strat = Array.unsafe_get rt.route ((2 * dest) + 1) in
-    walk_csr rt sk cross (Array.unsafe_get rt.next (base + port_of_strategy s strat))
-  end
-  else dest
-
-let rec walk_nested rt sk cross dest =
-  if dest >= 0 then begin
-    let s = cross rt sk dest in
-    let strat = Array.unsafe_get rt.strategy dest in
-    walk_nested rt sk cross rt.next_nested.(dest).(port_of_strategy s strat)
-  end
-  else dest
-
-let walk rt sk cross dest =
-  match rt.layout with
-  | Padded_csr -> walk_csr rt sk cross dest
-  | Unpadded_nested -> walk_nested rt sk cross dest
-
-let exit_increment rt dest =
-  let out = -dest - 1 in
-  Padded_atomic.fetch_and_add rt.values out rt.output_width
-
-let exit_decrement rt dest =
-  let out = -dest - 1 in
-  Padded_atomic.fetch_and_add rt.values out (-rt.output_width) - rt.output_width
-
-(* One metered traversal: latency sampling brackets the walk, the exit
-   tally lands in the same sink as the crossings. *)
-let metered_one rt sk cross entry ~anti =
-  let t0 = Metrics.sample_begin sk in
-  let dest = walk rt sk cross entry in
-  let out = -dest - 1 in
-  let v = if anti then exit_decrement rt dest else exit_increment rt dest in
-  if anti then Metrics.antitoken_exit sk ~wire:out else Metrics.token_exit sk ~wire:out;
-  if t0 >= 0 then Metrics.sample_end sk t0;
-  v
-
-let traverse_metered rt m ~wire ~anti =
-  let sk = Metrics.sink m in
-  metered_one rt sk (metered_fn rt.mode ~anti) rt.entry.(wire) ~anti
-
-let traverse rt ~wire =
-  if wire < 0 || wire >= rt.input_width then
-    invalid_arg "Network_runtime.traverse: wire out of range";
-  match rt.metrics with
-  | Some m -> traverse_metered rt m ~wire ~anti:false
-  | None -> exit_increment rt (walk rt Metrics.null (cross_fn rt.mode ~anti:false) rt.entry.(wire))
-
-let traverse_decrement rt ~wire =
-  if wire < 0 || wire >= rt.input_width then
-    invalid_arg "Network_runtime.traverse_decrement: wire out of range";
-  match rt.metrics with
-  | Some m -> traverse_metered rt m ~wire ~anti:true
-  | None -> exit_decrement rt (walk rt Metrics.null (cross_fn rt.mode ~anti:true) rt.entry.(wire))
-
-let check_batch_args rt ~who ~wire ~n =
-  if wire < 0 || wire >= rt.input_width then
-    invalid_arg (Printf.sprintf "Network_runtime.%s: wire out of range" who);
-  if n < 0 then invalid_arg (Printf.sprintf "Network_runtime.%s: negative batch size" who)
-
-(* Sequential batch: bounds check and dispatch paid once for the whole
-   batch, tokens walked one after the other. *)
-let batch_loop rt ~wire ~n ~f ~anti =
-  let entry = rt.entry.(wire) in
-  match rt.metrics with
-  | Some m ->
-      let sk = Metrics.sink m in
-      let cross = metered_fn rt.mode ~anti in
-      for i = 0 to n - 1 do
-        f i (metered_one rt sk cross entry ~anti)
-      done
-  | None -> (
-      let cross = cross_fn rt.mode ~anti in
-      let sk = Metrics.null in
-      match rt.layout with
-      | Padded_csr ->
-          if anti then
-            for i = 0 to n - 1 do
-              f i (exit_decrement rt (walk_csr rt sk cross entry))
-            done
-          else
-            for i = 0 to n - 1 do
-              f i (exit_increment rt (walk_csr rt sk cross entry))
-            done
-      | Unpadded_nested ->
-          if anti then
-            for i = 0 to n - 1 do
-              f i (exit_decrement rt (walk_nested rt sk cross entry))
-            done
-          else
-            for i = 0 to n - 1 do
-              f i (exit_increment rt (walk_nested rt sk cross entry))
-            done)
-
-let traverse_batch rt ~wire ~n ~f =
-  check_batch_args rt ~who:"traverse_batch" ~wire ~n;
-  batch_loop rt ~wire ~n ~f ~anti:false
-
-let traverse_batch_decrement rt ~wire ~n ~f =
-  check_batch_args rt ~who:"traverse_batch_decrement" ~wire ~n;
-  batch_loop rt ~wire ~n ~f ~anti:true
-
-(* ------------------------------------------------------------------ *)
-(* Layer-pipelined batch traversal.  A wavefront of up to [capacity]
-   tokens advances one balancer crossing per round, so while one
-   crossing waits on a cache miss the next token's crossing — on a
-   different balancer bank of the same layer — is already in flight.
-   The scratch buffer is caller-owned and reused across batches, so the
-   steady-state loop allocates nothing. *)
-
+(* The pipelined walks' caller-owned wavefront of token positions. *)
 type buffer = { dests : int array }
 
 let buffer ?(capacity = 64) () =
@@ -324,125 +32,373 @@ let buffer ?(capacity = 64) () =
 
 let buffer_capacity buf = Array.length buf.dests
 
-let wavefront_csr rt sk cross dests k base ~metered ~anti f =
-  let live = ref k in
-  while !live > 0 do
-    for i = 0 to k - 1 do
-      let d = Array.unsafe_get dests i in
-      if d >= 0 then begin
-        let s = cross rt sk d in
-        let rbase = Array.unsafe_get rt.route (2 * d) in
-        let strat = Array.unsafe_get rt.route ((2 * d) + 1) in
-        let nd = Array.unsafe_get rt.next (rbase + port_of_strategy s strat) in
-        Array.unsafe_set dests i nd;
-        if nd < 0 then begin
-          decr live;
-          let out = -nd - 1 in
-          let v = if anti then exit_decrement rt nd else exit_increment rt nd in
-          if metered then
-            if anti then Metrics.antitoken_exit sk ~wire:out
-            else Metrics.token_exit sk ~wire:out;
-          f (base + i) v
-        end
-      end
-    done
-  done
-
-let wavefront_nested rt sk cross dests k base ~metered ~anti f =
-  let live = ref k in
-  while !live > 0 do
-    for i = 0 to k - 1 do
-      let d = Array.unsafe_get dests i in
-      if d >= 0 then begin
-        let s = cross rt sk d in
-        let strat = Array.unsafe_get rt.strategy d in
-        let nd = rt.next_nested.(d).(port_of_strategy s strat) in
-        Array.unsafe_set dests i nd;
-        if nd < 0 then begin
-          decr live;
-          let out = -nd - 1 in
-          let v = if anti then exit_decrement rt nd else exit_increment rt nd in
-          if metered then
-            if anti then Metrics.antitoken_exit sk ~wire:out
-            else Metrics.token_exit sk ~wire:out;
-          f (base + i) v
-        end
-      end
-    done
-  done
-
-(* Pipelined tokens are interleaved, so per-token latency sampling does
-   not bracket a single walk; the pipelined paths record crossings,
-   stalls and exits but skip the latency reservoir. *)
-let pipelined_loop rt buf ~wire ~n ~f ~anti =
-  let entry = rt.entry.(wire) in
-  let sk, cross, metered =
-    match rt.metrics with
-    | Some m -> (Metrics.sink m, metered_fn rt.mode ~anti, true)
-    | None -> (Metrics.null, cross_fn rt.mode ~anti, false)
-  in
-  let dests = buf.dests in
-  let cap = Array.length dests in
-  let base = ref 0 in
-  while !base < n do
-    let k = if n - !base < cap then n - !base else cap in
-    Array.fill dests 0 k entry;
-    (match rt.layout with
-    | Padded_csr -> wavefront_csr rt sk cross dests k !base ~metered ~anti f
-    | Unpadded_nested -> wavefront_nested rt sk cross dests k !base ~metered ~anti f);
-    base := !base + k
-  done
-
-let traverse_batch_pipelined rt buf ~wire ~n ~f =
-  check_batch_args rt ~who:"traverse_batch_pipelined" ~wire ~n;
-  pipelined_loop rt buf ~wire ~n ~f ~anti:false
-
-let traverse_batch_pipelined_decrement rt buf ~wire ~n ~f =
-  check_batch_args rt ~who:"traverse_batch_pipelined_decrement" ~wire ~n;
-  pipelined_loop rt buf ~wire ~n ~f ~anti:true
-
-let exit_distribution rt =
-  (* Output wire [i] hands out [i, i + t, ...]; its next value [v]
-     encodes the number of exits as [(v - i) / t]. *)
-  Array.init rt.output_width (fun i -> (Padded_atomic.get rt.values i - i) / rt.output_width)
-
 type view = {
   v_mode : mode;
-  v_layout : layout;
   v_input_width : int;
   v_output_width : int;
   v_init_states : int array;
   v_fan_out : int array;
   v_offsets : int array;
   v_next : int array;
-  v_next_nested : int array array;
   v_route : int array;
-  v_strategy : int array;
   v_entry : int array;
 }
 
-let view rt =
-  {
-    v_mode = rt.mode;
-    v_layout = rt.layout;
-    v_input_width = rt.input_width;
-    v_output_width = rt.output_width;
-    v_init_states = Array.copy rt.init_states;
-    v_fan_out = Array.copy rt.fan_out;
-    v_offsets = Array.copy rt.offsets;
-    v_next = Array.copy rt.next;
-    v_next_nested = Array.map Array.copy rt.next_nested;
-    v_route = Array.copy rt.route;
-    v_strategy = Array.copy rt.strategy;
-    v_entry = Array.copy rt.entry;
+module type S = sig
+  type t
+
+  val compile : ?mode:mode -> ?metrics:bool -> Topology.t -> t
+  val mode : t -> mode
+  val metrics : t -> Metrics.t option
+  val input_width : t -> int
+  val output_width : t -> int
+  val traverse : t -> wire:int -> int
+  val traverse_decrement : t -> wire:int -> int
+  val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
+  val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
+  val traverse_batch_pipelined : t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
+
+  val traverse_batch_pipelined_decrement :
+    t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
+
+  val exit_distribution : t -> Cn_sequence.Sequence.t
+  val view : t -> view
+  val cas_failures : t -> int
+  val reset : t -> unit
+end
+
+module Make (A : Atomics.S) = struct
+  type t = {
+    mode : mode;
+    input_width : int;
+    output_width : int;
+    states : int A.t array; (* per balancer: monotone transition count *)
+    init_states : int array;
+    offsets : int array; (* CSR row starts; length n+1, so row b spans
+                            [offsets.(b), offsets.(b+1)) and its width is
+                            balancer b's fan-out *)
+    next : int array; (* CSR: encoded destination of port p of balancer b
+                         at [offsets.(b) + p] *)
+    fan_out : int array;
+    route : int array; (* stride-2 routing table: [route.(2b)] is balancer
+                          b's CSR row base (= offsets.(b)), [route.(2b+1)]
+                          its port strategy — one adjacent pair per
+                          crossing instead of two [offsets] reads plus a
+                          power-of-two test *)
+    entry : int array; (* per input wire: encoded destination *)
+    values : int A.t array; (* per output wire: next value to hand out *)
+    failures : int A.t; (* contended CAS crossings, a statistics counter *)
+    metrics : Metrics.t option;
   }
 
-let cas_failures rt = Padded_atomic.get rt.failures 0
+  let compile ?(mode = Faa) ?(metrics = false) net =
+    let n = Topology.size net in
+    let t = Topology.output_width net in
+    (* One topology query per balancer; every per-balancer field below is
+       derived from this pass.  All routing — including the Lemma 5.3
+       bit-reversal wiring of the butterfly blocks, which the topology
+       layer computes arithmetically — is baked into the [next]/[route]
+       images here, so no walk loop ever re-derives a wire. *)
+    let descriptors = Array.init n (Topology.balancer net) in
+    let init_states = Array.map (fun d -> d.Balancer.init_state) descriptors in
+    let fan_out = Array.map (fun d -> d.Balancer.fan_out) descriptors in
+    let offsets = Array.make (n + 1) 0 in
+    for b = 0 to n - 1 do
+      offsets.(b + 1) <- offsets.(b) + fan_out.(b)
+    done;
+    let next = Array.make offsets.(n) 0 in
+    let route = Array.make (2 * n) 0 in
+    for b = 0 to n - 1 do
+      for port = 0 to fan_out.(b) - 1 do
+        next.(offsets.(b) + port) <-
+          encode_dest (Topology.consumer net (Topology.Bal_output { bal = b; port }))
+      done;
+      route.(2 * b) <- offsets.(b);
+      route.((2 * b) + 1) <- strategy_of fan_out.(b)
+    done;
+    (* Balancer states before assignment cells: under the checker's
+       instrumented atomics, creation order is the atoms' identity. *)
+    let states = Array.map A.make init_states in
+    {
+      mode;
+      input_width = Topology.input_width net;
+      output_width = t;
+      states;
+      init_states;
+      offsets;
+      next;
+      fan_out;
+      route;
+      entry =
+        Array.init (Topology.input_width net) (fun i ->
+            encode_dest (Topology.consumer net (Topology.Net_input i)));
+      values = Array.init t A.make;
+      failures = A.make_stat 0;
+      metrics = (if metrics then Some (Metrics.create ~balancers:n ~wires:t ()) else None);
+    }
 
-let reset rt =
-  Array.iteri (fun b s -> Padded_atomic.set rt.states b s) rt.init_states;
-  for i = 0 to rt.output_width - 1 do
-    Padded_atomic.set rt.values i i
-  done;
-  Padded_atomic.set rt.failures 0 0;
-  Option.iter Metrics.reset rt.metrics
+  let mode rt = rt.mode
+  let input_width rt = rt.input_width
+  let output_width rt = rt.output_width
+  let metrics rt = rt.metrics
+
+  (* Balancer crossings.  Every crossing function has one shared shape
+     [t -> Metrics.sink -> int -> int]: the bare versions ignore the
+     sink (callers pass [Metrics.null]), the metered versions record
+     into it.  Sharing the shape means the walk loops take the crossing
+     as an ordinary function argument and the dispatch [match]es below
+     return closures built once per instance — the traverse paths
+     allocate nothing, metered or not.
+
+     The CAS loop backs off exponentially (doubling relax bursts,
+     bounded) instead of hammering the contended line, and a crossing
+     that lost at least one CAS counts as ONE stall however many
+     retries it took: stalls witness contended crossings, not retry
+     storms amplified by the lack of backoff.  A burst opens with one
+     [A.relax] — the scheduler hint, which under instrumentation waits
+     for the write that made the CAS fail — and spins the rest with
+     [Domain.cpu_relax]: a second hint in the same burst would wait for
+     a write that may never come. *)
+
+  let max_backoff = 64
+
+  let[@inline] state rt b = Array.unsafe_get rt.states b
+  let cross_faa rt _sk b = A.fetch_and_add (state rt b) 1
+  let cross_dec_faa rt _sk b = A.fetch_and_add (state rt b) (-1) - 1
+
+  let backoff spins =
+    A.relax ();
+    for _ = 2 to spins do
+      Domain.cpu_relax ()
+    done;
+    if spins >= max_backoff then max_backoff else spins * 2
+
+  let rec cas_retry rt b step bias spins contended =
+    let a = state rt b in
+    let s = A.get a in
+    if A.compare_and_set a s (s + step) then begin
+      if contended then A.incr rt.failures;
+      s + bias
+    end
+    else cas_retry rt b step bias (backoff spins) true
+
+  let cross_cas rt _sk b = cas_retry rt b 1 0 1 false
+  let cross_dec_cas rt _sk b = cas_retry rt b (-1) (-1) 1 false
+
+  (* Metered crossings: same transitions, plus per-balancer crossing and
+     stall recording into the calling domain's metrics sink. *)
+
+  let metered_faa rt sk b =
+    Metrics.crossing sk b;
+    A.fetch_and_add (state rt b) 1
+
+  let metered_dec_faa rt sk b =
+    Metrics.crossing sk b;
+    A.fetch_and_add (state rt b) (-1) - 1
+
+  let rec metered_cas_retry rt sk b step bias spins contended =
+    let a = state rt b in
+    let s = A.get a in
+    if A.compare_and_set a s (s + step) then begin
+      if contended then begin
+        A.incr rt.failures;
+        Metrics.stall sk b
+      end;
+      s + bias
+    end
+    else metered_cas_retry rt sk b step bias (backoff spins) true
+
+  let metered_cas rt sk b =
+    Metrics.crossing sk b;
+    metered_cas_retry rt sk b 1 0 1 false
+
+  let metered_dec_cas rt sk b =
+    Metrics.crossing sk b;
+    metered_cas_retry rt sk b (-1) (-1) 1 false
+
+  (* Dispatch: each arm is a closure built once with the instance, so
+     selecting one allocates nothing. *)
+  let cross_fn mode ~anti =
+    match (mode, anti) with
+    | Faa, false -> cross_faa
+    | Faa, true -> cross_dec_faa
+    | Cas, false -> cross_cas
+    | Cas, true -> cross_dec_cas
+
+  let metered_fn mode ~anti =
+    match (mode, anti) with
+    | Faa, false -> metered_faa
+    | Faa, true -> metered_dec_faa
+    | Cas, false -> metered_cas
+    | Cas, true -> metered_dec_cas
+
+  (* The walk.  A token crossing is one adjacent [route] pair read, one
+     read of [next], and the atomic transition — no nested array to
+     chase, no per-crossing power-of-two test.  The unsafe reads are
+     sound: [Topology.create] validated the wiring, so every encoded
+     destination and every [route]/[next] index is in range. *)
+  let[@inline] hop rt s dest =
+    let base = Array.unsafe_get rt.route (2 * dest) in
+    let strat = Array.unsafe_get rt.route ((2 * dest) + 1) in
+    Array.unsafe_get rt.next (base + port_of_strategy s strat)
+
+  let rec walk rt sk cross dest =
+    if dest >= 0 then walk rt sk cross (hop rt (cross rt sk dest) dest) else dest
+
+  let exit_increment rt dest =
+    A.fetch_and_add (Array.unsafe_get rt.values (-dest - 1)) rt.output_width
+
+  let exit_decrement rt dest =
+    A.fetch_and_add (Array.unsafe_get rt.values (-dest - 1)) (-rt.output_width)
+    - rt.output_width
+
+  (* One metered traversal: latency sampling brackets the walk, the exit
+     tally lands in the same sink as the crossings. *)
+  let metered_one rt sk cross entry ~anti =
+    let t0 = Metrics.sample_begin sk in
+    let dest = walk rt sk cross entry in
+    let out = -dest - 1 in
+    let v = if anti then exit_decrement rt dest else exit_increment rt dest in
+    if anti then Metrics.antitoken_exit sk ~wire:out else Metrics.token_exit sk ~wire:out;
+    if t0 >= 0 then Metrics.sample_end sk t0;
+    v
+
+  let traverse_metered rt m ~wire ~anti =
+    let sk = Metrics.sink m in
+    metered_one rt sk (metered_fn rt.mode ~anti) rt.entry.(wire) ~anti
+
+  let traverse rt ~wire =
+    if wire < 0 || wire >= rt.input_width then
+      invalid_arg "Network_runtime.traverse: wire out of range";
+    match rt.metrics with
+    | Some m -> traverse_metered rt m ~wire ~anti:false
+    | None -> exit_increment rt (walk rt Metrics.null (cross_fn rt.mode ~anti:false) rt.entry.(wire))
+
+  let traverse_decrement rt ~wire =
+    if wire < 0 || wire >= rt.input_width then
+      invalid_arg "Network_runtime.traverse_decrement: wire out of range";
+    match rt.metrics with
+    | Some m -> traverse_metered rt m ~wire ~anti:true
+    | None -> exit_decrement rt (walk rt Metrics.null (cross_fn rt.mode ~anti:true) rt.entry.(wire))
+
+  let check_batch_args rt ~who ~wire ~n =
+    if wire < 0 || wire >= rt.input_width then
+      invalid_arg (Printf.sprintf "Network_runtime.%s: wire out of range" who);
+    if n < 0 then invalid_arg (Printf.sprintf "Network_runtime.%s: negative batch size" who)
+
+  (* Sequential batch: bounds check and dispatch paid once for the whole
+     batch, tokens walked one after the other. *)
+  let batch_loop rt ~wire ~n ~f ~anti =
+    let entry = rt.entry.(wire) in
+    match rt.metrics with
+    | Some m ->
+        let sk = Metrics.sink m in
+        let cross = metered_fn rt.mode ~anti in
+        for i = 0 to n - 1 do
+          f i (metered_one rt sk cross entry ~anti)
+        done
+    | None ->
+        let cross = cross_fn rt.mode ~anti in
+        let sk = Metrics.null in
+        if anti then
+          for i = 0 to n - 1 do
+            f i (exit_decrement rt (walk rt sk cross entry))
+          done
+        else
+          for i = 0 to n - 1 do
+            f i (exit_increment rt (walk rt sk cross entry))
+          done
+
+  let traverse_batch rt ~wire ~n ~f =
+    check_batch_args rt ~who:"traverse_batch" ~wire ~n;
+    batch_loop rt ~wire ~n ~f ~anti:false
+
+  let traverse_batch_decrement rt ~wire ~n ~f =
+    check_batch_args rt ~who:"traverse_batch_decrement" ~wire ~n;
+    batch_loop rt ~wire ~n ~f ~anti:true
+
+  (* ---------------------------------------------------------------- *)
+  (* Layer-pipelined batch traversal.  A wavefront of up to [capacity]
+     tokens advances one balancer crossing per round, so while one
+     crossing waits on a cache miss the next token's crossing — on a
+     different balancer of the same layer — is already in flight.  The
+     scratch buffer is caller-owned and reused across batches, so the
+     steady-state loop allocates nothing. *)
+
+  let wavefront rt sk cross dests k base ~metered ~anti f =
+    let live = ref k in
+    while !live > 0 do
+      for i = 0 to k - 1 do
+        let d = Array.unsafe_get dests i in
+        if d >= 0 then begin
+          let nd = hop rt (cross rt sk d) d in
+          Array.unsafe_set dests i nd;
+          if nd < 0 then begin
+            decr live;
+            let out = -nd - 1 in
+            let v = if anti then exit_decrement rt nd else exit_increment rt nd in
+            if metered then
+              if anti then Metrics.antitoken_exit sk ~wire:out
+              else Metrics.token_exit sk ~wire:out;
+            f (base + i) v
+          end
+        end
+      done
+    done
+
+  (* Pipelined tokens are interleaved, so per-token latency sampling
+     does not bracket a single walk; the pipelined paths record
+     crossings, stalls and exits but skip the latency reservoir. *)
+  let pipelined_loop rt buf ~wire ~n ~f ~anti =
+    let entry = rt.entry.(wire) in
+    let sk, cross, metered =
+      match rt.metrics with
+      | Some m -> (Metrics.sink m, metered_fn rt.mode ~anti, true)
+      | None -> (Metrics.null, cross_fn rt.mode ~anti, false)
+    in
+    let dests = buf.dests in
+    let cap = Array.length dests in
+    let base = ref 0 in
+    while !base < n do
+      let k = if n - !base < cap then n - !base else cap in
+      Array.fill dests 0 k entry;
+      wavefront rt sk cross dests k !base ~metered ~anti f;
+      base := !base + k
+    done
+
+  let traverse_batch_pipelined rt buf ~wire ~n ~f =
+    check_batch_args rt ~who:"traverse_batch_pipelined" ~wire ~n;
+    pipelined_loop rt buf ~wire ~n ~f ~anti:false
+
+  let traverse_batch_pipelined_decrement rt buf ~wire ~n ~f =
+    check_batch_args rt ~who:"traverse_batch_pipelined_decrement" ~wire ~n;
+    pipelined_loop rt buf ~wire ~n ~f ~anti:true
+
+  let exit_distribution rt =
+    (* Output wire [i] hands out [i, i + t, ...]; its next value [v]
+       encodes the number of exits as [(v - i) / t]. *)
+    Array.init rt.output_width (fun i -> (A.get rt.values.(i) - i) / rt.output_width)
+
+  let view rt =
+    {
+      v_mode = rt.mode;
+      v_input_width = rt.input_width;
+      v_output_width = rt.output_width;
+      v_init_states = Array.copy rt.init_states;
+      v_fan_out = Array.copy rt.fan_out;
+      v_offsets = Array.copy rt.offsets;
+      v_next = Array.copy rt.next;
+      v_route = Array.copy rt.route;
+      v_entry = Array.copy rt.entry;
+    }
+
+  let cas_failures rt = A.get rt.failures
+
+  let reset rt =
+    Array.iteri (fun b s -> A.set rt.states.(b) s) rt.init_states;
+    Array.iteri (fun i a -> A.set a i) rt.values;
+    A.set rt.failures 0;
+    Option.iter Metrics.reset rt.metrics
+end
+
+include Make (Atomics.Real)

@@ -15,15 +15,21 @@
 
     {2 Memory layout}
 
-    The default [Padded_csr] layout is built for the hardware the
-    paper's contention bounds care about: balancer states and assignment
-    cells live in {!Padded_atomic} banks (one cache line per slot, no
-    false sharing between adjacent balancers), and the wiring is a flat
-    CSR-style jump table — crossing a balancer reads one adjacent
+    Balancer states and assignment cells are atoms of the instance's
+    {!Atomics.S}; under {!Atomics.Real} each one sits on its own cache
+    line (no false sharing between adjacent balancers).  The wiring is a
+    flat CSR-style jump table — crossing a balancer reads one adjacent
     routing-table pair and one [next] entry, with no nested-array
-    pointer chase.  The [Unpadded_nested] layout reproduces the original
-    adjacent-atomics, array-of-arrays representation and is kept so the
-    [runtime] bench suite can measure what the layout is worth.
+    pointer chase.
+
+    {2 One walk, two instantiations}
+
+    {!Make} is a functor over {!Atomics.S}, so the same walk runs on
+    real atomics (this module, [include Make (Atomics.Real)]) and on the
+    race checker's instrumented atomics, where every crossing and exit
+    bump is a scheduler decision point.  The checker therefore explores
+    the shipped CAS retry loop, pipelined wavefront and route
+    arithmetic, not a model of them.
 
     {2 Precompiled routing}
 
@@ -39,8 +45,8 @@
 
     Traversals are GC-free: with metrics off, {!traverse},
     {!traverse_decrement}, the batch walks and the pipelined walks
-    allocate zero words per token (the crossing functions are top-level,
-    the walks are loops over preallocated int arrays); with metrics on,
+    allocate zero words per token (the crossing closures are built once
+    per instance, the walks are loops over preallocated int arrays); with metrics on,
     recording goes to preallocated sharded counters and an unboxed
     nanosecond reservoir, so the metered paths are allocation-free too.
     The test suite pins both claims with [Gc.minor_words] deltas. *)
@@ -48,63 +54,6 @@
 type mode = Faa | Cas
 (** Balancer implementation: atomic fetch-and-add, or an instrumented
     CAS retry loop. *)
-
-type layout = Padded_csr | Unpadded_nested
-(** Memory representation: cache-line-padded states with flat CSR
-    wiring (default), or the naive adjacent-atomics nested-array
-    layout, kept for benchmarking. *)
-
-type t
-(** A compiled network ready for concurrent traversals. *)
-
-val compile : ?mode:mode -> ?layout:layout -> ?metrics:bool -> Cn_network.Topology.t -> t
-(** [compile net] builds the runtime representation (defaults: mode
-    [Faa], layout [Padded_csr]).  The topology is queried once per
-    balancer.  With [~metrics:true] the runtime carries a {!Metrics}
-    recorder (per-balancer crossing/stall counters, per-wire tallies,
-    sampled token latency) reachable through {!metrics}; without it
-    (the default) the traversal paths are exactly the uninstrumented
-    ones. *)
-
-val mode : t -> mode
-(** Implementation mode chosen at compile time. *)
-
-val metrics : t -> Metrics.t option
-(** The observability recorder, when compiled with [~metrics:true].
-    Take a {!Metrics.snapshot} at quiescence; [Validator.quiescent_runtime]
-    cross-checks it against the assignment cells. *)
-
-val layout : t -> layout
-(** Memory layout chosen at compile time. *)
-
-val input_width : t -> int
-(** Network input width [w]. *)
-
-val output_width : t -> int
-(** Network output width [t]. *)
-
-val traverse : t -> wire:int -> int
-(** [traverse rt ~wire] shepherds one token from input wire [wire]
-    through the network and returns the counter value assigned at its
-    exit wire.  Thread-safe; called concurrently from many domains.
-    @raise Invalid_argument if [wire] is out of range. *)
-
-val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-(** [traverse_batch rt ~wire ~n ~f] shepherds [n] tokens from input
-    wire [wire], calling [f i value] with each token's index and
-    assigned counter value.  Equivalent to [n] calls to {!traverse},
-    but the bounds check and mode/layout dispatch are paid once for
-    the whole batch — the preferred shape for throughput loops.
-    @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
-
-val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-(** [traverse_batch_decrement rt ~wire ~n ~f] shepherds [n] antitokens
-    from input wire [wire] (see {!traverse_decrement}), calling
-    [f i value] with each antitoken's index and reclaimed value.  The
-    batched analogue of {!traverse_decrement}, used by the service layer
-    to drain elimination-remainder decrement runs without falling back
-    to per-operation traversals.
-    @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
 
 type buffer
 (** A caller-owned scratch buffer for the pipelined batch walks: one
@@ -120,43 +69,8 @@ val buffer : ?capacity:int -> unit -> buffer
 val buffer_capacity : buffer -> int
 (** Wavefront width of the buffer. *)
 
-val traverse_batch_pipelined : t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-(** [traverse_batch_pipelined rt buf ~wire ~n ~f] shepherds [n] tokens
-    from input wire [wire] layer-by-layer: a wavefront of up to
-    [buffer_capacity buf] tokens advances one balancer crossing per
-    round, overlapping the cache misses of independent crossings instead
-    of serializing whole walks.  [f i value] receives each token's batch
-    index and assigned value; completion order follows the wavefront,
-    not the index order.  The multiset of values handed out matches
-    {!traverse_batch} — individual index/value pairings may differ, as
-    they already do under concurrent traversals.  With metrics on,
-    crossings, stalls and exits are recorded, but tokens are interleaved
-    so the per-token latency reservoir is not sampled on this path.
-    @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
-
-val traverse_batch_pipelined_decrement :
-  t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-(** Antitoken analogue of {!traverse_batch_pipelined}. *)
-
-val traverse_decrement : t -> wire:int -> int
-(** [traverse_decrement rt ~wire] shepherds one *antitoken* from input
-    wire [wire]: every balancer state is decremented instead of
-    incremented, undoing one token (Aiello et al.; paper,
-    Section 1.4.2), and the assignment cell at the exit wire is rolled
-    back by [t].  Returns the value given back to the counter — the
-    value the next token exiting that wire will receive.  Sequentially,
-    [traverse] after [traverse_decrement] returns the same value the
-    antitoken reclaimed, implementing [Fetch&Decrement].
-    @raise Invalid_argument if [wire] is out of range. *)
-
-val exit_distribution : t -> Cn_sequence.Sequence.t
-(** [exit_distribution rt] is the number of tokens that have exited on
-    each output wire so far (derived from the assignment cells);  a step
-    sequence in any quiescent state of a counting network. *)
-
 type view = {
   v_mode : mode;
-  v_layout : layout;
   v_input_width : int;
   v_output_width : int;
   v_init_states : int array;  (** per balancer: initial state *)
@@ -167,16 +81,12 @@ type view = {
           balancer [b] at [v_offsets.(b) + p]; a non-negative entry is a
           balancer id, a negative entry [-(wire + 1)] is network output
           wire [wire] *)
-  v_next_nested : int array array;  (** seed layout: per balancer, per port *)
   v_route : int array;
       (** stride-2 precompiled routing table: [v_route.(2b)] is balancer
           [b]'s CSR row base (= [v_offsets.(b)]), [v_route.(2b + 1)] its
           port strategy — [fan_out - 1] (a mask) when the fan-out is a
           power of two, [-fan_out] selecting the symmetric double-[mod]
           path otherwise *)
-  v_strategy : int array;
-      (** per balancer: the same port strategy, as read by the nested
-          walk *)
   v_entry : int array;  (** per input wire: encoded destination *)
 }
 (** A decompilable snapshot of the compiled representation: everything
@@ -184,15 +94,113 @@ type view = {
     arrays.  This is the raw material of [Cn_lint]'s CSR-faithfulness
     pass — and, mutated, of its compiler-bug mutants. *)
 
-val view : t -> view
-(** [view rt] copies out the compiled wiring.  Mutating the result does
-    not affect [rt]. *)
+module type S = sig
+  type t
+  (** A compiled network ready for concurrent traversals. *)
 
-val cas_failures : t -> int
-(** Total contended CAS crossings so far ([0] in [Faa] mode) — a lower
-    bound on memory-contention events experienced by tokens.  A crossing
-    that retries its CAS several times before winning counts once. *)
+  val compile : ?mode:mode -> ?metrics:bool -> Cn_network.Topology.t -> t
+  (** [compile net] builds the runtime representation (default mode
+      [Faa]).  The topology is queried once per balancer.  With
+      [~metrics:true] the runtime carries a {!Metrics} recorder
+      (per-balancer crossing/stall counters, per-wire tallies, sampled
+      token latency) reachable through {!metrics}; without it (the
+      default) the traversal paths are exactly the uninstrumented
+      ones. *)
 
-val reset : t -> unit
-(** [reset rt] restores initial balancer states and assignment cells.
-    Must not run concurrently with traversals. *)
+  val mode : t -> mode
+  (** Implementation mode chosen at compile time. *)
+
+  val metrics : t -> Metrics.t option
+  (** The observability recorder, when compiled with [~metrics:true].
+      Take a {!Metrics.snapshot} at quiescence;
+      [Validator.quiescent_runtime] cross-checks it against the
+      assignment cells. *)
+
+  val input_width : t -> int
+  (** Network input width [w]. *)
+
+  val output_width : t -> int
+  (** Network output width [t]. *)
+
+  val traverse : t -> wire:int -> int
+  (** [traverse rt ~wire] shepherds one token from input wire [wire]
+      through the network and returns the counter value assigned at its
+      exit wire.  Thread-safe; called concurrently from many domains.
+      @raise Invalid_argument if [wire] is out of range. *)
+
+  val traverse_decrement : t -> wire:int -> int
+  (** [traverse_decrement rt ~wire] shepherds one {e antitoken} from
+      input wire [wire]: every balancer state is decremented instead of
+      incremented, undoing one token (Aiello et al.; paper,
+      Section 1.4.2), and the assignment cell at the exit wire is rolled
+      back by [t].  Returns the value given back to the counter — the
+      value the next token exiting that wire will receive.
+      Sequentially, [traverse] after [traverse_decrement] returns the
+      same value the antitoken reclaimed, implementing
+      [Fetch&Decrement].
+      @raise Invalid_argument if [wire] is out of range. *)
+
+  val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
+  (** [traverse_batch rt ~wire ~n ~f] shepherds [n] tokens from input
+      wire [wire], calling [f i value] with each token's index and
+      assigned counter value.  Equivalent to [n] calls to {!traverse},
+      but the bounds check and mode dispatch are paid once for the whole
+      batch — the preferred shape for throughput loops.
+      @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
+
+  val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
+  (** [traverse_batch_decrement rt ~wire ~n ~f] shepherds [n]
+      antitokens from input wire [wire] (see {!traverse_decrement}),
+      calling [f i value] with each antitoken's index and reclaimed
+      value.  The batched analogue of {!traverse_decrement}, used by the
+      service layer to drain elimination-remainder decrement runs
+      without falling back to per-operation traversals.
+      @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
+
+  val traverse_batch_pipelined :
+    t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
+  (** [traverse_batch_pipelined rt buf ~wire ~n ~f] shepherds [n] tokens
+      from input wire [wire] layer-by-layer: a wavefront of up to
+      [buffer_capacity buf] tokens advances one balancer crossing per
+      round, overlapping the cache misses of independent crossings
+      instead of serializing whole walks.  [f i value] receives each
+      token's batch index and assigned value; completion order follows
+      the wavefront, not the index order.  The multiset of values handed
+      out matches {!traverse_batch} — individual index/value pairings
+      may differ, as they already do under concurrent traversals.  With
+      metrics on, crossings, stalls and exits are recorded, but tokens
+      are interleaved so the per-token latency reservoir is not sampled
+      on this path.
+      @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
+
+  val traverse_batch_pipelined_decrement :
+    t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
+  (** Antitoken analogue of {!traverse_batch_pipelined}. *)
+
+  val exit_distribution : t -> Cn_sequence.Sequence.t
+  (** [exit_distribution rt] is the number of tokens that have exited on
+      each output wire so far (derived from the assignment cells);  a
+      step sequence in any quiescent state of a counting network. *)
+
+  val view : t -> view
+  (** [view rt] copies out the compiled wiring.  Mutating the result
+      does not affect [rt]. *)
+
+  val cas_failures : t -> int
+  (** Total contended CAS crossings so far ([0] in [Faa] mode) — a lower
+      bound on memory-contention events experienced by tokens.  A
+      crossing that retries its CAS several times before winning counts
+      once. *)
+
+  val reset : t -> unit
+  (** [reset rt] restores initial balancer states and assignment cells.
+      Must not run concurrently with traversals. *)
+end
+
+module Make (A : Atomics.S) : S
+(** The runtime over atomics [A]: balancer states and assignment cells
+    are [A.make] atoms, the CAS-failure tally an [A.make_stat]
+    counter. *)
+
+include S
+(** The production runtime, [Make (Atomics.Real)]. *)

@@ -25,8 +25,8 @@ end
 module Core = Service_core.Make (Cn_runtime.Atomics.Real) (Rt_real)
 include Core
 
-let create ?mode ?layout ?metrics ?max_batch ?queue ?elim ?pipeline ?validate net =
-  let rt = RT.compile ?mode ?layout ?metrics net in
+let create ?mode ?metrics ?max_batch ?queue ?elim ?pipeline ?validate net =
+  let rt = RT.compile ?mode ?metrics net in
   let layers =
     let module T = Cn_network.Topology in
     Array.init (T.size net) (T.balancer_depth net)

@@ -94,7 +94,6 @@ type stats = {
 
 val create :
   ?mode:Cn_runtime.Network_runtime.mode ->
-  ?layout:Cn_runtime.Network_runtime.layout ->
   ?metrics:bool ->
   ?max_batch:int ->
   ?queue:int ->
@@ -104,7 +103,7 @@ val create :
   Cn_network.Topology.t ->
   t
 (** [create net] compiles [net] and builds a lane per input wire.
-    [?mode], [?layout], [?metrics] pass through to
+    [?mode] and [?metrics] pass through to
     {!Network_runtime.compile}.  [?max_batch] (default [64]) bounds the
     operations one combined batch may serve; [?queue] (default
     [max_batch]) is the submission-slot count per lane; [?elim]

@@ -67,7 +67,7 @@ let selftest =
   ]
 
 let service_protocol =
-  (* The real Service_core.Make body over the model network: every
+  (* The real Service_core.Make body over the shipped runtime: every
      scenario must survive every interleaving within the preemption
      bound, and the exploration must be exhaustive (complete = true,
      no step-bound cutoffs). *)
@@ -86,6 +86,18 @@ let service_protocol =
           Alcotest.(check bool) "explored something" true
             (out.E.stats.E.interleavings > 0)))
     Sc.all
+
+let shipped_runtime =
+  [
+    tc "cas-drain explores a failed CAS in the shipped retry loop" (fun () ->
+        (* The oracle hook sees every explored schedule's final runtime:
+           at least one of them must have lost a CAS and retried. *)
+        let most = ref 0 in
+        let observe rt = most := max !most (Sc.Net.cas_failures (Sc.Rt.net rt)) in
+        let out = E.explore ~preemptions:2 (Sc.cas_drain ~observe) in
+        Alcotest.(check bool) "no failure" true (out.E.failure = None);
+        Alcotest.(check bool) "some schedule retried a CAS" true (!most > 0));
+  ]
 
 let fabric_protocol =
   (* The real Fabric_core.Make body over instrumented model services:
@@ -123,6 +135,7 @@ let suite =
     ("check.engine", engine);
     ("check.selftest", selftest);
     ("check.service", service_protocol);
+    ("check.runtime", shipped_runtime);
     ("check.fabric", fabric_protocol);
     ("check.cooperative", cooperative);
   ]

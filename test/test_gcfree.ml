@@ -37,9 +37,9 @@ let check_gc_free run =
     true (d < 64.)
 
 let zero_alloc =
-  let case name ~mode ~layout ~metrics run =
+  let case name ~mode ~metrics run =
     tc name (fun () ->
-        let rt = RT.compile ~mode ~layout ~metrics (net48 ()) in
+        let rt = RT.compile ~mode ~metrics (net48 ()) in
         check_gc_free (run rt))
   in
   let traverse rt n =
@@ -59,30 +59,22 @@ let zero_alloc =
     RT.traverse_batch_decrement rt ~wire:1 ~n ~f:sink
   in
   [
-    case "traverse, faa, padded csr" ~mode:RT.Faa ~layout:RT.Padded_csr ~metrics:false traverse;
-    case "traverse, faa, unpadded nested" ~mode:RT.Faa ~layout:RT.Unpadded_nested ~metrics:false
-      traverse;
-    case "traverse, cas, padded csr" ~mode:RT.Cas ~layout:RT.Padded_csr ~metrics:false traverse;
-    case "traverse, cas, unpadded nested" ~mode:RT.Cas ~layout:RT.Unpadded_nested ~metrics:false
-      traverse;
-    case "traverse + antitoken, faa, padded csr" ~mode:RT.Faa ~layout:RT.Padded_csr
-      ~metrics:false traverse_dec;
-    case "batch, faa, padded csr" ~mode:RT.Faa ~layout:RT.Padded_csr ~metrics:false batch;
-    case "batch, faa, unpadded nested" ~mode:RT.Faa ~layout:RT.Unpadded_nested ~metrics:false
-      batch;
-    case "batch + batched antitokens, cas, padded csr" ~mode:RT.Cas ~layout:RT.Padded_csr
-      ~metrics:false batch_dec;
-    case "metered traverse, faa, padded csr" ~mode:RT.Faa ~layout:RT.Padded_csr ~metrics:true
-      traverse;
-    case "metered batch, faa, unpadded nested" ~mode:RT.Faa ~layout:RT.Unpadded_nested
-      ~metrics:true batch;
-    tc "pipelined batch, both layouts" (fun () ->
+    case "traverse, faa, padded csr" ~mode:RT.Faa ~metrics:false traverse;
+    case "traverse, cas, padded csr" ~mode:RT.Cas ~metrics:false traverse;
+    case "traverse + antitoken, faa, padded csr" ~mode:RT.Faa ~metrics:false traverse_dec;
+    case "batch, faa, padded csr" ~mode:RT.Faa ~metrics:false batch;
+    case "batch + batched antitokens, cas, padded csr" ~mode:RT.Cas ~metrics:false batch_dec;
+    case "metered traverse, faa, padded csr" ~mode:RT.Faa ~metrics:true traverse;
+    case "metered traverse, cas, padded csr" ~mode:RT.Cas ~metrics:true traverse;
+    case "metered batch, faa, padded csr" ~mode:RT.Faa ~metrics:true batch;
+    case "metered batch, cas, padded csr" ~mode:RT.Cas ~metrics:true batch;
+    tc "pipelined batch, both modes" (fun () ->
         List.iter
-          (fun layout ->
-            let rt = RT.compile ~layout (net48 ()) in
+          (fun mode ->
+            let rt = RT.compile ~mode (net48 ()) in
             let buf = RT.buffer ~capacity:32 () in
             check_gc_free (fun n -> RT.traverse_batch_pipelined rt buf ~wire:2 ~n ~f:sink))
-          [ RT.Padded_csr; RT.Unpadded_nested ]);
+          [ RT.Faa; RT.Cas ]);
     tc "pipelined batched antitokens" (fun () ->
         let rt = RT.compile (net48 ()) in
         let buf = RT.buffer ~capacity:32 () in
@@ -105,8 +97,8 @@ let pipelined =
         let net = Cn_core.Counting.network ~w:8 ~t:16 in
         let x = [| 5; 2; 0; 9; 3; 1; 7; 4 |] in
         List.iter
-          (fun layout ->
-            let rt = RT.compile ~layout net in
+          (fun mode ->
+            let rt = RT.compile ~mode net in
             let buf = RT.buffer ~capacity:4 () in
             Array.iteri
               (fun wire n ->
@@ -114,7 +106,7 @@ let pipelined =
               x;
             Alcotest.check Util.seq "distribution" (E.quiescent net x)
               (RT.exit_distribution rt))
-          [ RT.Padded_csr; RT.Unpadded_nested ]);
+          [ RT.Faa; RT.Cas ]);
     tc "pipelined batch hands out the same value multiset as traverse_batch" (fun () ->
         let net = net48 () in
         let n = 77 in
